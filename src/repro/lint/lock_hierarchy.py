@@ -98,8 +98,6 @@ THREAD_SHARED: dict[str, GuardSpec] = {
             "_memo",
             "_memo_count",
             "_values",
-            "_bound",
-            "_synced",
             "_ordered_ids",
             "_ordered_arr",
             "_mask_of",

@@ -8,22 +8,22 @@ none non-missing — except that an entirely empty scope is MISSING, matching
 the convention that a cell with no descendant data does not exist.
 
 Every aggregator is *streaming*: one pass over the input iterable with O(1)
-state, so callers (notably the rollup index, which feeds generator scopes)
-never pay for an intermediate list.
+state, so callers (notably the naive scope scan, which feeds generator
+scopes) never pay for an intermediate list.
 
 Vectorized reduction
 --------------------
 :func:`reduce_array` is the columnar counterpart used by the rollup
 index's plane kernel: it reduces a gathered ``float64`` array of *live*
 cell values (liveness is resolved upstream, so no MISSING sentinel ever
-appears in the array).  In ``"strict"`` mode the result is bit-identical
-to the streaming aggregators above — summation runs through
-``np.add.accumulate`` (a sequential scan, unlike ``np.sum``'s pairwise
-tree) seeded with the same ``0.0`` the Python loop starts from, and
-min/max fall back to the sequential loop whenever a NaN is present
-(their NaN outcome is order-dependent).  ``"fast"`` mode uses numpy's
-pairwise reductions; it is exactly equal on integer-valued workloads and
-within ``repro.perf.config.fast_tolerance()`` otherwise.
+appears in the array), and its result is bit-identical to the streaming
+aggregators above.  Summation runs through ``np.add.accumulate`` (a
+sequential scan, unlike ``np.sum``'s pairwise tree) seeded with the same
+``0.0`` the Python loop starts from.  min/max keep the fold's tie rule —
+the *first* of equal values wins, which decides between ``-0.0`` and
+``0.0`` — by indexing with ``np.argmin``/``np.argmax``, and fall back to
+the sequential loop whenever a NaN is present (their NaN outcome is
+order-dependent).
 """
 
 from __future__ import annotations
@@ -151,13 +151,10 @@ def _sequential_extreme(values: np.ndarray, want_min: bool) -> float:
     return best
 
 
-def reduce_array(name: str, values: np.ndarray, mode: str = "strict") -> CellValue:
-    """Reduce a gathered array of live cell values (no MISSING inside).
-
-    ``mode="strict"`` matches the streaming aggregators bit for bit;
-    ``mode="fast"`` uses numpy's pairwise reductions (exact on integer
-    workloads, within configured tolerance otherwise).  An empty array is
-    an empty scope: MISSING for every aggregator, including ``count``.
+def reduce_array(name: str, values: np.ndarray) -> CellValue:
+    """Reduce a gathered array of live cell values (no MISSING inside),
+    bit-identical to the streaming aggregators.  An empty array is an
+    empty scope: MISSING for every aggregator, including ``count``.
     """
     n = len(values)
     if n == 0:
@@ -165,19 +162,18 @@ def reduce_array(name: str, values: np.ndarray, mode: str = "strict") -> CellVal
     if name == "count":
         return float(n)
     if name == "sum":
-        if mode == "strict":
-            return _strict_sum(values)
-        return float(np.sum(values))
+        return _strict_sum(values)
     if name == "avg":
-        if mode == "strict":
-            return _strict_sum(values) / n
-        return float(np.sum(values)) / n
+        return _strict_sum(values) / n
     if name == "min" or name == "max":
         # NaN semantics are order-dependent in the streaming aggregators;
         # numpy's min/max propagate NaN instead, so guard on its presence.
         if np.isnan(values).any():
             return _sequential_extreme(values, want_min=name == "min")
-        return float(np.min(values) if name == "min" else np.max(values))
+        # argmin/argmax return the first of equal values — the fold's tie
+        # rule, which np.min/np.max do not keep (-0.0 == 0.0)
+        pick = np.argmin(values) if name == "min" else np.argmax(values)
+        return float(values[pick])
     raise RuleError(
         f"unknown aggregator {name!r}; expected one of {sorted(AGGREGATORS)}"
     )

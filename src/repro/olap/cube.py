@@ -119,7 +119,7 @@ class Cube:
             clone._version = self._version
             clone._frozen = True
             if self._rollup_index is not None:
-                clone._rollup_index = self._rollup_index.fork(clone._leaf_cells)
+                clone._rollup_index = self._rollup_index.fork()
             return clone
 
     def rollup_index(self) -> "RollupIndex":
@@ -169,15 +169,11 @@ class Cube:
                 if is_leaf and index is not None:
                     index.remove_leaf(addr)
             else:
-                existed = addr in store
                 fvalue = float(value)  # type: ignore[arg-type]
                 store[addr] = fvalue
                 self._version += 1
                 if is_leaf and index is not None:
-                    if existed:
-                        index.touch_value(addr, fvalue)
-                    else:
-                        index.add_leaf(addr, fvalue)
+                    index.add_leaf(addr, fvalue)
 
     def set(self, value: object, **coords: str) -> None:
         """Keyword-style :meth:`set_value` (``cube.set(10, Time="Jan", ...)``)."""
@@ -215,15 +211,11 @@ class Cube:
                     if is_leaf and index is not None:
                         index.remove_leaf(addr)
                 else:
-                    existed = addr in store
                     fvalue = float(value)  # type: ignore[arg-type]
                     store[addr] = fvalue
                     mutated = True
                     if is_leaf and index is not None:
-                        if existed:
-                            index.touch_value(addr, fvalue)
-                        else:
-                            index.add_leaf(addr, fvalue)
+                        index.add_leaf(addr, fvalue)
             if mutated:
                 self._version += 1
 
@@ -282,31 +274,26 @@ class Cube:
 
         addr = self.schema.validate_address(address)
         if self._use_index():
-            return self.rollup_index().rollup(self._leaf_cells, addr, aggregator)
-        return aggregate(aggregator, self._scan_scope_values(addr))
+            return self.rollup_index().rollup(addr, aggregator)
+        return aggregate(
+            aggregator, (value for _, value in self._scan_scope_cells(addr))
+        )
 
     def scope_values(self, address: Sequence[str]) -> Iterator[float]:
         """Values of the leaf cells in a cell's scope."""
-        addr = self.schema.validate_address(address)
-        if self._use_index():
-            leaf = self._leaf_cells
-            for leaf_addr in self.rollup_index().scope_addresses(addr):
-                yield leaf[leaf_addr]
-            return
-        yield from self._scan_scope_values(addr)
-
-    def _scan_scope_values(self, addr: Address) -> Iterator[float]:
-        """The naive path: one full pass over all leaf cells."""
-        for leaf_addr, value in self._leaf_cells.items():
-            if self._address_under(leaf_addr, addr):
-                yield value
+        for _, value in self.scope_cells(address):
+            yield value
 
     def scope_cells(self, address: Sequence[str]) -> Iterator[tuple[Address, float]]:
         """(address, value) of leaf cells in a cell's scope."""
         addr = self.schema.validate_address(address)
         if self._use_index():
-            yield from self.rollup_index().iter_scope_cells(self._leaf_cells, addr)
+            yield from self.rollup_index().iter_scope_cells(addr)
             return
+        yield from self._scan_scope_cells(addr)
+
+    def _scan_scope_cells(self, addr: Address) -> Iterator[tuple[Address, float]]:
+        """The naive path: one full pass over all leaf cells."""
         for leaf_addr, value in self._leaf_cells.items():
             if self._address_under(leaf_addr, addr):
                 yield leaf_addr, value

@@ -20,15 +20,9 @@ results are bit-identical (enforced by the equivalence property tests).
 
 from typing import Any
 
-from repro.perf.config import engine_enabled, naive_mode, set_engine_enabled
+from repro.perf.config import engine_enabled, naive_mode
 
-__all__ = [
-    "RollupIndex",
-    "ScenarioCache",
-    "engine_enabled",
-    "naive_mode",
-    "set_engine_enabled",
-]
+__all__ = ["RollupIndex", "ScenarioCache", "engine_enabled", "naive_mode"]
 
 
 def __getattr__(name: str) -> Any:

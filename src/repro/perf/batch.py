@@ -9,16 +9,15 @@ the whole grid in one pass with the per-cell work hoisted out:
   are applied positionally;
 * per-coordinate leafness is memoised, so the leaf/derived split of an
   address is O(n_dims) dict probes;
-* leaf cells are served from the rollup index's columnar value planes
-  whenever the leaf cube already carries an index (falling back to the
-  semantic dict otherwise — leaf-only grids never build an index just
-  for point reads); stored aggregates are read straight out of the
-  cube's dicts;
+* leaf cells and stored aggregates are read straight out of the cube's
+  dicts (one probe each — leaf-only grids never build an index);
 * default-rollup derived cells are resolved **memo-first** against the
   :class:`~repro.perf.rollup_index.RollupIndex`: the index's live memo
   table answers repeat addresses with one lock-free dict probe before any
   scope work happens (profiling showed the warm path spending ~40% of its
   time intersecting scopes for cells whose value was already memoised);
+  the hits are tallied locally and added to the index stats once per
+  grid, under the index lock;
 * memo misses are served as *axis planes* over the columnar kernel: when
   every column tuple binds the same dimensions (the overwhelmingly common
   grid shape), each row's boolean scope mask is computed once and each
@@ -92,14 +91,6 @@ def evaluate_grid(
     leaf_rules = leaf_cube.rules
     agg_rules = agg_cube.rules
 
-    # Leaf point reads are routed through the columnar planes whenever the
-    # leaf cube already carries an index (the planes mirror exactly the
-    # dict the rollup kernel trusts); leaf-only grids never build an index
-    # just for this and keep reading the semantic dict.
-    leaf_read = None
-    if leaf_cube.has_rollup_index:
-        leaf_read = leaf_cube.rollup_index().leaf_reader(leaf_store)
-
     # the failpoint hook, bound once: its disarmed fast path is a single
     # dict probe, and skipping the module-level wrapper saves a call frame
     # on every evaluated cell
@@ -141,6 +132,7 @@ def evaluate_grid(
 
     index = None  # built lazily: leaf-only grids never pay for it
     memo: "dict[Address, CellValue] | None" = None
+    memo_hits = 0  # lock-free memo probes that hit; reported once per grid
     col_scopes: list = [None] * len(columns)
     col_scope_ready = [False] * len(columns)
 
@@ -200,10 +192,7 @@ def evaluate_grid(
                 )
 
             if is_leaf:
-                if leaf_read is not None:
-                    value = leaf_read(addr)
-                else:
-                    value = leaf_store.get(addr)
+                value = leaf_store.get(addr)
                 if value is None:
                     value = leaf_stored_derived.get(addr)
                 if value is None:
@@ -234,7 +223,7 @@ def evaluate_grid(
             stats["indexed_rollups"] += 1
             value = memo.get(addr)
             if value is not None:
-                index.count_hit()
+                memo_hits += 1
                 row_cells.append(value)
                 continue
             if plane_mode:
@@ -251,13 +240,13 @@ def evaluate_grid(
                     col_scopes[j] = index.axis_scope(col_patch)
                     col_scope_ready[j] = True
                 row_cells.append(
-                    index.rollup_axes(
-                        agg_leaf_store, addr, row_scope, col_scopes[j]
-                    )
+                    index.rollup_axes(addr, row_scope, col_scopes[j])
                 )
             else:
-                row_cells.append(index.rollup(agg_leaf_store, addr))
+                row_cells.append(index.rollup(addr))
         cells.append(row_cells)
 
+    if index is not None:
+        index.record_hits(memo_hits)
     stats["cells_skipped"] = cells_skipped
     return cells, cells_skipped, stats

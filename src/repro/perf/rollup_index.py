@@ -10,22 +10,18 @@ the |scope| matching leaves.
 
 Columnar kernel
 ---------------
-Leaf *values* are mirrored into a
+Leaf *values* live in a
 :class:`~repro.storage.array_cube.ColumnarLeafStore` — chunked contiguous
 ``float64`` planes where plane row == leaf id (both are assigned
-monotonically in insertion order and never reused).  Coordinate buckets
+monotonically in insertion order and never reused).  The index is
+self-contained: every read (rollups, scope cells) comes from these
+planes, never from the cube's dict, which ``Cube.set_value`` keeps in
+step by writing each insert and re-value through.  Coordinate buckets
 are lowered on demand to cached **boolean masks** over the id space; a
 scope is then ``mask & mask`` + ``np.flatnonzero`` (ascending ids ==
 insertion order) and aggregation is one fancy-indexed gather per touched
-plane followed by :func:`~repro.olap.aggregation.reduce_array`.  In the
-default ``"strict"`` reduction mode the result is bit-identical to the
-naive dict scan; see :mod:`repro.perf.config`.
-
-The vectorized path only serves a query whose value mapping *is* the
-cube dict this index mirrors (identity check against the store bound at
-build time) and whose mirror is in sync; any other mapping — or an index
-told values changed without being given them (:meth:`touch`) — falls
-back to the per-cell streaming aggregation, which is always correct.
+plane followed by :func:`~repro.olap.aggregation.reduce_array`, whose
+result is bit-identical to the naive dict scan.
 
 Determinism
 -----------
@@ -38,10 +34,11 @@ on both paths, making indexed results bit-identical to naive results
 Maintenance
 -----------
 The index is maintained *incrementally*: ``Cube.set_value`` notifies it
-of leaf insertions/deletions (bucket + plane updates) and in-place value
-changes (plane write + rollup-memo flush).  Bulk transforms
-(``copy``/``filter_dimension``/``map_leaf_cells``) produce cubes without
-an index; it is rebuilt lazily on their first derived read.
+of leaf insertions (bucket + plane row), deletions (bucket + plane
+liveness) and in-place value changes (plane write + rollup-memo flush).
+Bulk transforms (``copy``/``filter_dimension``/``map_leaf_cells``)
+produce cubes without an index; it is rebuilt lazily on their first
+derived read.
 ``Cube.frozen_copy`` instead *forks* the index: structure (buckets,
 id maps) is shared copy-on-write at whole-index granularity — the live
 parent unshares before its first structural mutation — while value
@@ -51,15 +48,14 @@ planes share at plane granularity through ``ColumnarLeafStore.fork``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, TypeAlias
+from typing import TYPE_CHECKING, Iterator, Sequence, TypeAlias
 
 import numpy as np
 
 from repro.lint.lockdep import make_lock
 from repro.obs.trace import trace_span
-from repro.olap.aggregation import aggregate, reduce_array
+from repro.olap.aggregation import reduce_array
 from repro.olap.missing import Missing
-from repro.perf import config as perf_config
 from repro.storage.array_cube import ColumnarLeafStore
 from repro.storage.io_stats import CacheStats
 
@@ -76,8 +72,8 @@ CellValue: TypeAlias = "float | Missing"
 AxisScope: TypeAlias = "tuple[bool, np.ndarray | None]"
 
 #: soft cap on the per-index rollup memo (total entries across all
-#: aggregator/mode tables), to bound worst-case memory on long-lived
-#: cubes queried at ever-changing addresses
+#: aggregator tables), to bound worst-case memory on long-lived cubes
+#: queried at ever-changing addresses
 _MEMO_CAP = 65536
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
@@ -109,22 +105,18 @@ class RollupIndex:
         self._by_dim: list[dict[str, set[int]]] = [
             {} for _ in range(schema.n_dims)
         ]
-        # (aggregator, reduction mode) -> {address: value}; inner tables
-        # are cleared *in place* on invalidation so refs handed out via
-        # memo_table() stay live
-        self._memo: dict[tuple[str, str], dict[Address, CellValue]] = {}
+        # aggregator -> {address: value}; inner tables are cleared *in
+        # place* on invalidation so refs handed out via memo_table() stay
+        # live
+        self._memo: dict[str, dict[Address, CellValue]] = {}
         self._memo_count = 0
         # -- columnar kernel state ------------------------------------------
-        #: leaf values mirrored as chunked planes; plane row == leaf id
+        #: leaf values as chunked planes; plane row == leaf id
         self._values = (
             ColumnarLeafStore()
             if plane_size is None
             else ColumnarLeafStore(plane_size)
         )
-        #: the cube dict the planes mirror (identity-checked per query)
-        self._bound: "Mapping[Address, float] | None" = None
-        #: False when a value changed without being reported to the planes
-        self._synced = True
         #: ascending live leaf ids (append-only between deletions: ids are
         #: assigned monotonically, so insertion keeps it sorted for free)
         self._ordered_ids: list[int] = []
@@ -145,7 +137,6 @@ class RollupIndex:
             index = cls(cube.schema, plane_size=plane_size)
             for addr, value in cube._leaf_cells.items():
                 index._insert(addr, value)
-            index._bound = cube._leaf_cells  # reprolint: locked
             index.stats.builds += 1
             if span is not None:
                 span.set(leaves=index.n_leaves)
@@ -153,7 +144,7 @@ class RollupIndex:
 
     # -- maintenance ------------------------------------------------------------
 
-    def _insert(self, addr: Address, value: "float | None") -> None:  # reprolint: locked
+    def _insert(self, addr: Address, value: float) -> None:  # reprolint: locked
         # callers either hold self._lock (add_leaf) or own the only
         # reference to a not-yet-published index (build)
         ident = self._next_id
@@ -161,12 +152,7 @@ class RollupIndex:
         self._id_of[addr] = ident
         self._addr_of[ident] = addr
         self._ordered_ids.append(ident)  # ids are monotonic: stays sorted
-        if value is None:
-            # legacy caller that doesn't carry values: planes go stale
-            self._values.append(0.0)
-            self._synced = False
-        else:
-            self._values.append(value)  # plane row == ident by construction
+        self._values.append(value)  # plane row == ident by construction
         chain = self.schema.ancestor_chain
         for i, coord in enumerate(addr):
             buckets = self._by_dim[i]
@@ -195,18 +181,19 @@ class RollupIndex:
         self._mask_of.clear()
         self._ordered_arr = None
 
-    def add_leaf(self, addr: Address, value: "float | None" = None) -> None:
-        """A leaf cell was inserted (or re-valued) at ``addr``."""
+    def add_leaf(self, addr: Address, value: float) -> None:
+        """The leaf cell at ``addr`` was inserted or re-valued to
+        ``value``: an insert buckets a new id and appends its plane row; a
+        re-value writes the existing row through (buckets store
+        addresses, not values).  Either way the memo is flushed."""
         with self._lock:
             ident = self._id_of.get(addr)
             if ident is None:
                 self._unshare_structure()
                 self._structural_change()
                 self._insert(addr, value)
-            elif value is not None:
-                self._values.update(ident, value)
             else:
-                self._synced = False
+                self._values.update(ident, value)
             self._flush_memo()
 
     def remove_leaf(self, addr: Address) -> None:
@@ -231,26 +218,6 @@ class RollupIndex:
                             del buckets[ancestor]
             self._flush_memo()
 
-    def touch(self) -> None:
-        """A leaf value changed in place *without* the new value: memoised
-        rollups are stale and so is the plane mirror (it resyncs lazily
-        from the bound store on the next vectorized query)."""
-        with self._lock:
-            self._synced = False
-            self._flush_memo()
-
-    def touch_value(self, addr: Address, value: float) -> None:
-        """A leaf value changed in place to ``value``: write the plane row
-        through and flush the memo; buckets are untouched (they store
-        addresses, not values)."""
-        with self._lock:
-            ident = self._id_of.get(addr)
-            if ident is None:
-                self._synced = False
-            else:
-                self._values.update(ident, value)
-            self._flush_memo()
-
     def _flush_memo(self) -> None:  # reprolint: locked
         for table in self._memo.values():
             table.clear()
@@ -258,14 +225,13 @@ class RollupIndex:
 
     # -- fork (snapshot copy-on-write) -------------------------------------------
 
-    def fork(self, bound: "Mapping[Address, float] | None" = None) -> "RollupIndex":
+    def fork(self) -> "RollupIndex":
         """A copy-on-write clone for a snapshot cube.
 
         Structure (id maps, buckets, ordered ids) is shared until the
         *live* side's next structural mutation (the frozen clone never
         mutates); value planes share at plane granularity through
-        :meth:`ColumnarLeafStore.fork`.  ``bound`` is the clone cube's
-        leaf dict — the mapping the clone's planes now mirror.
+        :meth:`ColumnarLeafStore.fork`.
         """
         with self._lock:
             clone = RollupIndex(self.schema, plane_size=self._plane_size)
@@ -277,8 +243,6 @@ class RollupIndex:
             clone._ordered_arr = self._ordered_arr
             clone._mask_of = dict(self._mask_of)
             clone._values = self._values.fork()
-            clone._bound = bound if bound is not None else self._bound
-            clone._synced = self._synced
             clone._memo = {
                 key: dict(table) for key, table in self._memo.items()
             }
@@ -289,11 +253,11 @@ class RollupIndex:
 
     # -- memo -------------------------------------------------------------------
 
-    def _memo_for(self, aggregator: str, mode: str) -> dict[Address, CellValue]:  # reprolint: locked
-        table = self._memo.get((aggregator, mode))
+    def _memo_for(self, aggregator: str) -> dict[Address, CellValue]:  # reprolint: locked
+        table = self._memo.get(aggregator)
         if table is None:
             table = {}
-            self._memo[(aggregator, mode)] = table
+            self._memo[aggregator] = table
         return table
 
     def _memo_put(self, table: dict[Address, CellValue], address: Address, value: CellValue) -> None:  # reprolint: locked
@@ -305,62 +269,19 @@ class RollupIndex:
         table[address] = value
 
     def memo_table(self, aggregator: str = "sum") -> dict[Address, CellValue]:
-        """The live memo table for ``aggregator`` under the current
-        reduction mode.  Invalidation clears it *in place*, so a held
-        reference is always current: a lock-free ``table.get(addr)`` is
-        either a fresh value or a miss, never a stale value.  Callers
-        must treat it as read-only."""
+        """The live memo table for ``aggregator``.  Invalidation clears it
+        *in place*, so a held reference is always current: a lock-free
+        ``table.get(addr)`` is either a fresh value or a miss, never a
+        stale value.  Callers must treat it as read-only, and report the
+        hits they serve from it through :meth:`record_hits`."""
         with self._lock:
-            return self._memo_for(aggregator, perf_config.reduction_mode())
+            return self._memo_for(aggregator)
 
-    def count_hit(self) -> None:
-        """Record a lock-free memo probe hit (stats only)."""
-        self.stats.hits += 1
-
-    def leaf_reader(
-        self, leaf_cells: Mapping[Address, float]
-    ) -> "object | None":
-        """A plane-backed point-read callable for leaf cells, or ``None``
-        when the planes cannot answer for ``leaf_cells`` (the index is
-        bound to a different mapping, or the value mirror is out of
-        sync).
-
-        The callable maps an address to its value (``None`` = absent,
-        NaN reads back as NaN — the liveness bitmap distinguishes the
-        two) without taking the index lock.  Like :meth:`memo_table`,
-        it snapshots the id structure once under the lock; in-place
-        value updates show through (planes are written in place), and
-        grid-scoped callers re-fetch per query, so its staleness
-        profile matches the live memo table's.
-        """
-        with self._lock:
-            if not self._can_vectorize(leaf_cells):
-                return None
-            id_of = self._id_of
-            values_get = self._values.get
-
-        def read(addr: Address) -> "float | None":
-            ident = id_of.get(addr)
-            if ident is None:
-                return None
-            return values_get(ident)
-
-        return read
-
-    def leaf_arrays(
-        self, leaf_cells: Mapping[Address, float]
-    ) -> "tuple[list[Address], np.ndarray] | None":
-        """Every leaf cell as ``(addresses, values)`` in insertion order,
-        the values served by one vectorized plane gather instead of a
-        per-cell dict scan.  ``None`` when the planes cannot answer for
-        ``leaf_cells`` (see :meth:`leaf_reader`)."""
-        with self._lock:
-            if not self._can_vectorize(leaf_cells):
-                return None
-            ids = self._ordered_array()
-            addr_of = self._addr_of
-            addresses = [addr_of[int(i)] for i in ids.tolist()]
-            return addresses, self._values.gather(ids)
+    def record_hits(self, count: int) -> None:
+        """Add ``count`` lock-free :meth:`memo_table` hits to the stats."""
+        if count:
+            with self._lock:
+                self.stats.hits += count
 
     # -- queries ----------------------------------------------------------------
 
@@ -403,84 +324,23 @@ class RollupIndex:
 
     def _scope_ids_array(self, address: Sequence[str]) -> np.ndarray:
         # under self._lock: ascending leaf ids of a full-address scope
-        n = len(self._id_of)
-        if n == 0:
+        empty, mask = self.axis_scope(list(enumerate(address)))
+        if empty:
             return _EMPTY_IDS
-        combined: "np.ndarray | None" = None
-        for i, coord in enumerate(address):
-            bucket = self.candidates(i, coord)
-            if bucket is None:
-                return _EMPTY_IDS
-            if len(bucket) == n:
-                continue  # the coordinate covers every leaf — no constraint
-            mask = self._coord_mask(i, coord)
-            combined = mask if combined is None else combined & mask
-        if combined is None:
+        if mask is None:
             return self._ordered_array()
-        return np.flatnonzero(combined)
-
-    def scope_ids(self, address: Sequence[str]) -> list[int]:
-        """Ids of the leaf cells in a cell's scope, in insertion order."""
-        with self._lock:
-            return [int(i) for i in self._scope_ids_array(address)]
-
-    def partial_scope(
-        self, pairs: Sequence[tuple[int, str]]
-    ) -> "tuple[bool, set[int] | None]":
-        """Intersect candidate buckets for some (dim_index, coord) pairs.
-
-        The set-based axis-plane API (kept for compatibility; the batched
-        evaluator now uses the mask-based :meth:`axis_scope`).  Returns
-        ``(empty, ids)``: ``empty=True`` means provably no leaf matches;
-        ``ids=None`` means the pairs impose no constraint (every leaf
-        matches).  The returned set may alias an internal bucket — do not
-        mutate it.
-        """
-        with self._lock:
-            if not self._id_of:
-                return True, None
-            n = len(self._id_of)
-            constraining: list[set[int]] = []
-            for dim_index, coord in pairs:
-                bucket = self.candidates(dim_index, coord)
-                if bucket is None:
-                    return True, None
-                if len(bucket) == n:
-                    continue
-                constraining.append(bucket)
-            if not constraining:
-                return False, None
-            constraining.sort(key=len)
-            scope = constraining[0]
-            for bucket in constraining[1:]:
-                scope = scope & bucket
-                if not scope:
-                    return True, None
-            return False, scope
-
-    @staticmethod
-    def combine_scope(
-        first: "tuple[bool, set[int] | None]",
-        second: "tuple[bool, set[int] | None]",
-    ) -> "tuple[bool, set[int] | None]":
-        """Intersect two :meth:`partial_scope` results."""
-        if first[0] or second[0]:
-            return True, None
-        if first[1] is None:
-            return second
-        if second[1] is None:
-            return first
-        scope = first[1] & second[1]
-        return (not scope), scope
+        return np.flatnonzero(mask)
 
     def axis_scope(self, pairs: Sequence[tuple[int, str]]) -> AxisScope:
-        """Mask-based :meth:`partial_scope` for the columnar kernel.
+        """The scope of some ``(dim_index, coord)`` pairs, as a mask.
 
-        Returns ``(empty, mask)`` where the mask is a boolean vector over
-        the id space (``None`` = no constraint).  Masks are cached per
-        coordinate and combined with ``&``, so a grid's row plane is one
-        vector AND per row instead of a set intersection per cell.  The
-        returned mask may alias a cached one — callers must not mutate it.
+        Returns ``(empty, mask)``: ``empty=True`` means provably no leaf
+        matches; otherwise the mask is a boolean vector over the id space
+        (``None`` = no constraint, every leaf matches).  Masks are cached
+        per coordinate and combined with ``&``, so a grid's row plane is
+        one vector AND per row instead of a set intersection per cell.
+        The returned mask may alias a cached one — callers must not
+        mutate it.
         """
         with self._lock:
             n = len(self._id_of)
@@ -492,26 +352,24 @@ class RollupIndex:
                 if bucket is None:
                     return True, None
                 if len(bucket) == n:
-                    continue
+                    continue  # the coordinate covers every leaf
                 mask = self._coord_mask(dim_index, coord)
                 combined = mask if combined is None else combined & mask
             return False, combined
 
     def rollup_axes(
         self,
-        leaf_cells: Mapping[Address, float],
         address: Address,
         row_scope: AxisScope,
         col_scope: AxisScope,
         aggregator: str = "sum",
     ) -> CellValue:
         """Aggregate the intersection of two :meth:`axis_scope` planes,
-        memoised per (address, aggregator, reduction mode).  Ids resolve
-        in ascending order (``np.flatnonzero``), so strict-mode results
-        are bit-identical to the naive scan."""
+        memoised per (address, aggregator).  Ids resolve in ascending
+        order (``np.flatnonzero``), so results are bit-identical to the
+        naive scan."""
         with self._lock:
-            mode = perf_config.reduction_mode()
-            table = self._memo_for(aggregator, mode)
+            table = self._memo_for(aggregator)
             if address in table:
                 self.stats.hits += 1
                 return table[address]
@@ -528,111 +386,39 @@ class RollupIndex:
                 ids = np.flatnonzero(row_mask)
             else:
                 ids = np.flatnonzero(row_mask & col_mask)
-            value = self._reduce_ids(leaf_cells, ids, aggregator, mode)
+            value = reduce_array(aggregator, self._values.gather(ids))
             self._memo_put(table, address, value)
             return value
-
-    def _reduce_ids(
-        self,
-        leaf_cells: Mapping[Address, float],
-        ids: np.ndarray,
-        aggregator: str,
-        mode: str,
-    ) -> CellValue:
-        # under self._lock; ids ascending == insertion order
-        if self._can_vectorize(leaf_cells):
-            return reduce_array(aggregator, self._values.gather(ids), mode)
-        addr_of = self._addr_of
-        return aggregate(
-            aggregator, (leaf_cells[addr_of[i]] for i in ids.tolist())
-        )
-
-    def _can_vectorize(self, leaf_cells: Mapping[Address, float]) -> bool:
-        # under self._lock: planes only answer for the mapping they mirror
-        if leaf_cells is not self._bound:
-            return False
-        if not self._synced:
-            self._resync(leaf_cells)
-        return self._synced
-
-    def _resync(self, leaf_cells: Mapping[Address, float]) -> None:  # reprolint: locked
-        # rebuild plane values from the bound store (one pass); reached
-        # only after touch()/valueless add_leaf told us values moved
-        values = self._values
-        try:
-            for addr, ident in self._id_of.items():
-                values.update(ident, leaf_cells[addr])
-        except KeyError:
-            return  # mirror and store disagree structurally: stay on fallback
-        self._synced = True
-
-    def rollup_scope(
-        self,
-        leaf_cells: Mapping[Address, float],
-        address: Address,
-        scope: "tuple[bool, set[int] | None]",
-        aggregator: str = "sum",
-    ) -> CellValue:
-        """Aggregate a precomputed set scope (:meth:`partial_scope` /
-        :meth:`combine_scope`), memoised like :meth:`rollup`.  Ids are
-        served in ascending order, so strict-mode results match the naive
-        scan exactly."""
-        with self._lock:
-            mode = perf_config.reduction_mode()
-            table = self._memo_for(aggregator, mode)
-            if address in table:
-                self.stats.hits += 1
-                return table[address]
-            self.stats.misses += 1
-            empty, id_set = scope
-            if empty:
-                ids = _EMPTY_IDS
-            elif id_set is None:
-                ids = self._ordered_array()
-            else:
-                ids = np.fromiter(id_set, dtype=np.int64, count=len(id_set))
-                ids.sort()
-            value = self._reduce_ids(leaf_cells, ids, aggregator, mode)
-            self._memo_put(table, address, value)
-            return value
-
-    def scope_addresses(self, address: Sequence[str]) -> list[Address]:
-        with self._lock:
-            return [
-                self._addr_of[int(i)] for i in self._scope_ids_array(address)
-            ]
 
     def iter_scope_cells(
-        self, leaf_cells: Mapping[Address, float], address: Sequence[str]
+        self, address: Sequence[str]
     ) -> Iterator[tuple[Address, float]]:
+        """(address, value) of the leaf cells in a cell's scope, in
+        insertion order."""
         # Materialise under the lock: a lazy generator would read buckets
         # and values at the caller's pace, racing concurrent maintenance.
         with self._lock:
+            ids = self._scope_ids_array(address)
             addr_of = self._addr_of
-            cells = [
-                (addr_of[int(i)], leaf_cells[addr_of[int(i)]])
-                for i in self._scope_ids_array(address)
-            ]
+            cells = list(
+                zip(
+                    [addr_of[i] for i in ids.tolist()],
+                    self._values.gather(ids).tolist(),
+                )
+            )
         yield from cells
 
-    def rollup(
-        self,
-        leaf_cells: Mapping[Address, float],
-        address: Address,
-        aggregator: str = "sum",
-    ) -> CellValue:
+    def rollup(self, address: Address, aggregator: str = "sum") -> CellValue:
         """Aggregate a cell's scope through the index, memoised per
-        (address, aggregator, reduction mode) until the next leaf
-        mutation."""
+        (address, aggregator) until the next leaf mutation."""
         with self._lock:
-            mode = perf_config.reduction_mode()
-            table = self._memo_for(aggregator, mode)
+            table = self._memo_for(aggregator)
             if address in table:
                 self.stats.hits += 1
                 return table[address]
             self.stats.misses += 1
             ids = self._scope_ids_array(address)
-            value = self._reduce_ids(leaf_cells, ids, aggregator, mode)
+            value = reduce_array(aggregator, self._values.gather(ids))
             self._memo_put(table, address, value)
             return value
 
@@ -640,7 +426,7 @@ class RollupIndex:
 
     @property
     def plane_store(self) -> ColumnarLeafStore:
-        """The columnar value mirror (tests / bench introspection)."""
+        """The columnar value planes (tests / bench introspection)."""
         return self._values
 
     def compact_planes(self, *, ceiling: "float | None" = None) -> int:

@@ -794,7 +794,6 @@ class ShardedQueryService:
         from repro.mdx.budget import Degradation
         from repro.olap.aggregation import reduce_array
         from repro.olap.missing import MISSING
-        from repro.perf import config as perf_config
         from repro.service.shard import _Pending, _decode_value
 
         cube = self.warehouse.cube
@@ -1113,7 +1112,6 @@ class ShardedQueryService:
             for (r, c, _), value in zip(assigned, values):
                 grid[r][c] = _decode_value(value)
         if spanning_active:
-            mode = perf_config.reduction_mode()
             shard_partials = [
                 responses[(shard, "partial")]["partials"]
                 for shard in range(self.n_shards)
@@ -1134,7 +1132,7 @@ class ShardedQueryService:
                     np.asarray(positions, dtype=np.int64), kind="stable"
                 )
                 merged = np.asarray(values, dtype=np.float64)[order]
-                grid[r][c] = reduce_array("sum", merged, mode)
+                grid[r][c] = reduce_array("sum", merged)
 
         # -- degradation records (partial policy) -------------------------------
         degradations: "list[Degradation]" = []

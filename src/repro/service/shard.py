@@ -198,15 +198,12 @@ class _ShardRuntime:
         if op == "partial":
             cube = self.warehouse.cube
             index = cube.rollup_index()
-            leaf_store = cube._leaf_cells
             global_pos = self.global_pos
             partials = []
             for addr in request["addresses"]:
                 positions: list[int] = []
                 values: list[float] = []
-                for cell_addr, value in index.iter_scope_cells(
-                    leaf_store, tuple(addr)
-                ):
+                for cell_addr, value in index.iter_scope_cells(tuple(addr)):
                     positions.append(global_pos[cell_addr])
                     values.append(value)
                 partials.append((positions, values))

@@ -325,35 +325,18 @@ class ChunkedCube:
 
     @classmethod
     def from_cube(
-        cls,
-        cube: Cube,
-        chunk_shape: Sequence[int] | None = None,
-        *,
-        use_planes: bool = True,
+        cls, cube: Cube, chunk_shape: Sequence[int] | None = None
     ) -> "ChunkedCube":
         """Build from a semantic cube's leaf cells.
 
         Axis labels are the distinct leaf coordinates present, in sorted
-        order (instance paths for varying dimensions).  Intended for tests
-        and small integration scenarios; workload generators build chunked
-        cubes directly for scale.
-
-        With ``use_planes=True`` (the default) the leaf values come from
-        the cube's rollup-index columnar planes in one vectorized gather
-        (:meth:`~repro.perf.rollup_index.RollupIndex.leaf_arrays`)
-        instead of a second pass over the semantic dict; the dict path
-        remains as the fallback (and under ``use_planes=False``, which
-        the bit-identity regression tests exercise).
+        order (instance paths for varying dimensions).  Values are read
+        from the cube's leaf dict in insertion order; no rollup index is
+        built.  Intended for tests and small integration scenarios;
+        workload generators build chunked cubes directly for scale.
         """
         schema = cube.schema
-        items: "list[tuple[tuple[str, ...], float]] | None" = None
-        if use_planes:
-            snapshot = cube.rollup_index().leaf_arrays(cube._leaf_cells)
-            if snapshot is not None:
-                addresses, values = snapshot
-                items = list(zip(addresses, values.tolist()))
-        if items is None:
-            items = list(cube.leaf_cells())
+        items = list(cube.leaf_cells())
         label_sets: list[set[str]] = [set() for _ in schema.dimensions]
         for addr, _ in items:
             for i, coord in enumerate(addr):

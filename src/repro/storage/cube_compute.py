@@ -163,13 +163,10 @@ def compute_group_bys_from_cube(
     """Shared-scan group-bys straight off a *semantic* cube.
 
     Materialises the cube into the chunked store via
-    :meth:`~repro.storage.array_cube.ChunkedCube.from_cube`, sourcing the
-    leaf values from the cube's columnar index planes (one vectorized
-    gather) instead of rebuilding a private cell view from the semantic
-    dict, then runs :func:`compute_group_bys` over it.  Returns
-    ``(results, chunked_cube)`` so callers can keep the physical image
-    for follow-up scans.  Results are bit-identical to a dict-sourced
-    build (the regression tests assert it).
+    :meth:`~repro.storage.array_cube.ChunkedCube.from_cube`, then runs
+    :func:`compute_group_bys` over it.  Returns ``(results,
+    chunked_cube)`` so callers can keep the physical image for follow-up
+    scans.
     """
     from repro.storage.array_cube import ChunkedCube
 

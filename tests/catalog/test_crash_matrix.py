@@ -66,7 +66,7 @@ def _snapshot(root, base) -> dict[str, str]:
         }
 
 
-def _count_hits(failpoint: str, root, base, op) -> int:
+def _failpoint_hits(failpoint: str, root, base, op) -> int:
     FAULTS.clear()
     FAULTS.fail_after(failpoint, 1_000_000)  # armed but never fires
     with ScenarioCatalog(root, base=base) as catalog:
@@ -90,7 +90,7 @@ def test_kill_during_op_lands_pre_or_post(failpoint, op_name, base, tmp_path):
     op = OPS[op_name]
     probe_root = tmp_path / "probe"
     _seed(probe_root, base)
-    hits = _count_hits(failpoint, probe_root, base, op)
+    hits = _failpoint_hits(failpoint, probe_root, base, op)
     if hits == 0:
         pytest.skip(f"{op_name} never crosses {failpoint}")
     # the pre-op and post-op reference states, from clean twins
@@ -128,7 +128,7 @@ def test_gc_checkpoint_crash_preserves_scenarios(base, tmp_path):
     for failpoint in ("durability.rename", "durability.commit"):
         hits_root = tmp_path / f"hits-{failpoint}"
         _seed(hits_root, base)
-        hits = _count_hits(failpoint, hits_root, base, lambda c: c.gc())
+        hits = _failpoint_hits(failpoint, hits_root, base, lambda c: c.gc())
         for n in range(1, min(hits, MAX_HITS) + 1):
             root = tmp_path / f"gc-{failpoint}-{n}"
             _seed(root, base)

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.errors import MemberNotFoundError
 from repro.olap.aggregation import AGGREGATORS, aggregate
 from repro.olap.cube import Cube
 from repro.olap.missing import MISSING, is_missing
+from repro.perf.batch import evaluate_grid
 from repro.perf.config import naive_mode
 from repro.perf.rollup_index import RollupIndex
 
@@ -46,9 +52,7 @@ class TestAgreementWithNaive:
         cube = example.cube
         for addr in _all_addresses(cube.schema):
             for aggregator in AGGREGATORS:
-                indexed = cube.rollup_index().rollup(
-                    cube._leaf_cells, addr, aggregator
-                )
+                indexed = cube.rollup_index().rollup(addr, aggregator)
                 naive = _naive_rollup(cube, addr, aggregator)
                 assert indexed == naive or (
                     is_missing(indexed) and is_missing(naive)
@@ -80,7 +84,9 @@ class TestIncrementalMaintenance:
         rebuilt = RollupIndex.build(cube)
         live = cube.rollup_index()
         for addr in _all_addresses(cube.schema):
-            assert live.scope_ids(addr) == rebuilt.scope_ids(addr), addr
+            assert list(live.iter_scope_cells(addr)) == list(
+                rebuilt.iter_scope_cells(addr)
+            ), addr
 
     def test_add_then_remove_leaf(self, example):
         cube = example.cube
@@ -156,12 +162,71 @@ class TestContracts:
         cube = example.cube
         index = cube.rollup_index()
         root = tuple(d.root.name for d in cube.schema.dimensions)
-        index.rollup(cube._leaf_cells, root)
+        index.rollup(root)
         misses = index.stats.misses
         hits = index.stats.hits
-        index.rollup(cube._leaf_cells, root)
+        index.rollup(root)
         assert index.stats.hits == hits + 1
         assert index.stats.misses == misses
+
+    def test_warm_grid_counts_each_memo_hit_once(self, tiny_cube):
+        """The batch evaluator's lock-free memo probes are all counted:
+        a warm grid raises ``stats.hits`` by exactly its memo-served
+        cells and records no miss."""
+        schema = tiny_cube.schema
+
+        def axis(dim):
+            root = schema.dimension(dim).root
+            return [
+                SimpleNamespace(coordinates=((dim, m.name),))
+                for m in root.descendants(include_self=True)
+            ]
+
+        base = {d.name: d.root.name for d in schema.dimensions}
+        rows, columns = axis("Time"), axis("Measures")
+        args = (schema, base, rows, columns, None, "mdx.cell")
+        cold, _, _ = evaluate_grid(tiny_cube, *args)
+        index = tiny_cube.rollup_index()
+        hits, misses = index.stats.hits, index.stats.misses
+        warm, _, stats = evaluate_grid(tiny_cube, *args)
+        assert repr(warm) == repr(cold)
+        assert stats["indexed_rollups"] > 0
+        assert index.stats.hits - hits == stats["indexed_rollups"]
+        assert index.stats.misses == misses
+
+    def test_concurrent_warm_grids_lose_no_hits(self, tiny_cube):
+        """Threads sharing one index (as QueryService workers share a
+        snapshot's) must not lose memo-hit increments."""
+        schema = tiny_cube.schema
+        base = {d.name: d.root.name for d in schema.dimensions}
+        rows = [
+            SimpleNamespace(coordinates=(("Time", m.name),))
+            for m in schema.dimension("Time").root.descendants(include_self=True)
+        ]
+        columns = [SimpleNamespace(coordinates=(("Measures", "Measures"),))]
+        args = (schema, base, rows, columns, None, "mdx.cell")
+        evaluate_grid(tiny_cube, *args)  # warm the memo
+        index = tiny_cube.rollup_index()
+        hits = index.stats.hits
+        served = []
+
+        def worker():
+            for _ in range(200):
+                served.append(evaluate_grid(tiny_cube, *args)[2]["indexed_rollups"])
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(served) == 800
+        assert index.stats.hits - hits == sum(served)
 
     def test_mutation_flushes_memo(self, example):
         cube = example.cube
@@ -173,38 +238,55 @@ class TestContracts:
 
 
 class TestPlaneScopes:
-    """partial_scope/combine_scope/rollup_scope — the batched-grid API."""
+    """axis_scope/rollup_axes — the batched-grid API."""
 
     def test_partial_plus_combine_equals_full_scope(self, example):
+        """Two axis scopes over a split of an address select exactly the
+        address's scope, and roll up to the same value bit for bit."""
         cube = example.cube
         index = cube.rollup_index()
+        leaf, value = next(iter(cube.leaf_cells()))
         for addr in _all_addresses(cube.schema):
             pairs = list(enumerate(addr))
+            expected = [a for a, _ in index.iter_scope_cells(addr)]
+            direct = index.rollup(addr)
             for split in range(len(pairs) + 1):
-                scope = index.combine_scope(
-                    index.partial_scope(pairs[:split]),
-                    index.partial_scope(pairs[split:]),
+                row_scope = index.axis_scope(pairs[:split])
+                col_scope = index.axis_scope(pairs[split:])
+                (row_empty, row_mask), (col_empty, col_mask) = (
+                    row_scope,
+                    col_scope,
                 )
-                empty, ids = scope
-                expected = index.scope_ids(addr)
-                if empty:
-                    assert expected == []
-                elif ids is None:
-                    assert expected == sorted(index._addr_of)
+                if row_empty or col_empty:
+                    assert expected == [], (addr, split)
                 else:
-                    assert sorted(ids) == expected
+                    every = np.ones(index._next_id, dtype=np.bool_)
+                    mask = every if row_mask is None else row_mask
+                    mask = mask & (every if col_mask is None else col_mask)
+                    ids = np.flatnonzero(mask).tolist()
+                    assert [index._addr_of[i] for i in ids] == expected, (
+                        addr,
+                        split,
+                    )
+                cube.set_value(leaf, value)  # re-value: flushes the memo
+                via_axes = index.rollup_axes(addr, row_scope, col_scope)
+                assert repr(via_axes) == repr(direct), (addr, split)
 
     def test_rollup_scope_matches_rollup(self, example):
+        """A whole-address axis scope against an unconstrained one rolls
+        up like rollup() for every aggregator."""
         cube = example.cube
         index = cube.rollup_index()
+        leaf, value = next(iter(cube.leaf_cells()))
         for addr in _all_addresses(cube.schema):
-            scope = index.partial_scope(list(enumerate(addr)))
-            via_scope = index.rollup_scope(cube._leaf_cells, addr, scope)
-            index.touch()  # drop the memo so rollup() recomputes
-            direct = index.rollup(cube._leaf_cells, addr)
-            assert via_scope == direct or (
-                is_missing(via_scope) and is_missing(direct)
-            )
+            scope = index.axis_scope(list(enumerate(addr)))
+            for aggregator in AGGREGATORS:
+                via_scope = index.rollup_axes(
+                    addr, scope, index.axis_scope([]), aggregator
+                )
+                cube.set_value(leaf, value)  # re-value: flushes the memo
+                direct = index.rollup(addr, aggregator)
+                assert repr(via_scope) == repr(direct), (addr, aggregator)
 
 
 class TestStreamingAggregators:

@@ -1,13 +1,12 @@
-"""Columnar-plane leaf sourcing: bit-identity against the dict paths.
+"""Leaf sourcing from the semantic dict: physical images and grids.
 
-Covers the three places leaf values are now served from the rollup
-index's columnar planes instead of the semantic dict:
+Covers the places leaf values feed a second layout or a result grid:
 
-* :meth:`ChunkedCube.from_cube` (``use_planes`` gather vs dict fallback),
-* :func:`compute_group_bys_from_cube` (shared-scan over a plane-sourced
-  physical image),
-* the batch evaluator's leaf point reads
-  (:meth:`RollupIndex.leaf_reader`).
+* :meth:`ChunkedCube.from_cube` (values equal the semantic dict),
+* :func:`compute_group_bys_from_cube` (shared-scan over the cube's
+  physical image, against one scan per group-by),
+* the batch evaluator's leaf point reads, with and without a built
+  rollup index.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ import numpy as np
 from repro.olap.missing import MISSING, is_missing
 from repro.storage.array_cube import ChunkedCube
 from repro.storage.cube_compute import (
-    compute_group_bys,
     compute_group_bys_from_cube,
+    compute_group_bys_naive,
 )
 from repro.storage.lattice import all_group_bys
 
@@ -31,35 +30,35 @@ def _chunks(cube: ChunkedCube) -> dict:
 
 class TestFromCubePlanes:
     def test_plane_and_dict_builds_are_bit_identical(self, example):
+        # from_cube reads the semantic dict whether or not the rollup
+        # index's columnar planes exist: both builds match bit for bit.
+        before = ChunkedCube.from_cube(example.cube)
         example.cube.rollup_index()  # make sure the planes exist
-        via_planes = ChunkedCube.from_cube(example.cube, use_planes=True)
-        via_dict = ChunkedCube.from_cube(example.cube, use_planes=False)
-        assert [a.name for a in via_planes.axes] == [
-            a.name for a in via_dict.axes
+        after = ChunkedCube.from_cube(example.cube)
+        assert [a.name for a in after.axes] == [a.name for a in before.axes]
+        assert [a.labels for a in after.axes] == [
+            a.labels for a in before.axes
         ]
-        assert [a.labels for a in via_planes.axes] == [
-            a.labels for a in via_dict.axes
-        ]
-        plane_chunks = _chunks(via_planes)
-        dict_chunks = _chunks(via_dict)
-        assert sorted(plane_chunks) == sorted(dict_chunks)
-        for coord, data in plane_chunks.items():
-            np.testing.assert_array_equal(data, dict_chunks[coord])
+        after_chunks = _chunks(after)
+        before_chunks = _chunks(before)
+        assert sorted(after_chunks) == sorted(before_chunks)
+        for coord, data in after_chunks.items():
+            np.testing.assert_array_equal(data, before_chunks[coord])
 
     def test_plane_build_without_prebuilt_index(self, example):
-        # from_cube may build the index itself; values must still match
-        # the semantic dict cell for cell.
+        # from_cube reads the semantic dict: it builds no index, and the
+        # physical image matches the dict cell for cell, bit for bit.
         image = ChunkedCube.from_cube(example.cube)
+        assert not example.cube.has_rollup_index
         for address, value in example.cube.leaf_cells():
-            assert image.value(address) == value
+            assert repr(image.value(address)) == repr(value), address
 
 
 class TestComputeGroupBysFromCube:
     def test_matches_dict_sourced_shared_scan(self, example):
         group_bys = all_group_bys(example.cube.schema.n_dims)
         results, image = compute_group_bys_from_cube(example.cube, group_bys)
-        baseline_image = ChunkedCube.from_cube(example.cube, use_planes=False)
-        baseline = compute_group_bys(baseline_image.store, group_bys)
+        baseline = compute_group_bys_naive(image.store, group_bys)
         assert sorted(results) == sorted(baseline)
         for dims, result in results.items():
             np.testing.assert_array_equal(result.data, baseline[dims].data)
@@ -77,16 +76,6 @@ class TestBatchLeafReads:
         "{[Organization].Members} ON ROWS "
         "FROM Warehouse WHERE ([NY], [Salary])"
     )
-
-    def test_leaf_reader_mirrors_the_semantic_dict(self, example):
-        cube = example.cube
-        reader = cube.rollup_index().leaf_reader(cube._leaf_cells)
-        assert reader is not None
-        for address, value in cube.leaf_cells():
-            assert reader(address) == value
-        missing = ("Organization/FTE/Joe", "NY", "Jan", "Benefits")
-        if missing not in cube._leaf_cells:
-            assert reader(missing) is None
 
     def test_grid_identical_with_and_without_index(self, example):
         from repro.warehouse import Warehouse

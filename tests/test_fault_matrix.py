@@ -44,7 +44,7 @@ FULL_MATRIX = "ci-matrix" in os.environ.get("REPRO_FAULTS", "")
 MAX_HITS = 10_000 if FULL_MATRIX else 6
 
 
-def _count_hits(failpoint: str, operation) -> int:
+def _failpoint_hits(failpoint: str, operation) -> int:
     """How many times ``operation`` crosses ``failpoint`` when healthy."""
     FAULTS.clear()
     FAULTS.fail_after(failpoint, 1_000_000)  # armed but never fires
@@ -72,7 +72,7 @@ def test_crash_during_save_never_corrupts(failpoint, warehouse, tmp_path):
     root = tmp_path / "wh"
     save_warehouse(warehouse, root)  # generation 1: the last-good state
 
-    hits = _count_hits(failpoint, lambda: save_warehouse(warehouse, root))
+    hits = _failpoint_hits(failpoint, lambda: save_warehouse(warehouse, root))
     assert hits > 0, f"failpoint {failpoint} is never reached by save"
     exercised = 0
     for n in range(1, min(hits, MAX_HITS) + 1):
@@ -93,7 +93,7 @@ def test_crash_during_save_never_corrupts(failpoint, warehouse, tmp_path):
 def test_crash_on_first_ever_save(failpoint, warehouse, tmp_path):
     """A crash during the *first* save (no previous generation) must leave
     either a loadable store or a typed error — never silent corruption."""
-    hits = _count_hits(
+    hits = _failpoint_hits(
         failpoint, lambda: save_warehouse(warehouse, tmp_path / "probe")
     )
     for n in range(1, min(hits, MAX_HITS) + 1):
@@ -116,7 +116,7 @@ def test_crash_during_load_is_typed(failpoint, warehouse, tmp_path):
     a subsequent clean load still succeeds — loads never mutate the store
     destructively."""
     root = save_warehouse(warehouse, tmp_path / "wh")
-    hits = _count_hits(failpoint, lambda: load_warehouse(root))
+    hits = _failpoint_hits(failpoint, lambda: load_warehouse(root))
     assert hits > 0, f"failpoint {failpoint} is never reached by load"
     for n in range(1, min(hits, MAX_HITS) + 1):
         FAULTS.clear()
