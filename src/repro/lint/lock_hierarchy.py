@@ -94,13 +94,13 @@ THREAD_SHARED: dict[str, GuardSpec] = {
             "_id_of",
             "_addr_of",
             "_next_id",
-            "_by_dim",
+            "_codes",
+            "_code_of",
+            "_under",
             "_memo",
             "_memo_count",
             "_values",
-            "_ordered_ids",
-            "_ordered_arr",
-            "_mask_of",
+            "_scope_of",
             "_struct_shared",
         ),
     ),

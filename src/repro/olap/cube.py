@@ -107,7 +107,7 @@ class Cube:
         cache keys on it.
 
         A built rollup index is *forked*, not dropped: the snapshot gets a
-        copy-on-write clone (shared buckets, plane-granular value sharing)
+        copy-on-write clone (shared code columns, plane-granular value sharing)
         plus a warm memo, so the first query on a fresh snapshot pays no
         index rebuild.  Lock order here is Cube._lock -> RollupIndex._lock,
         as declared in the lint hierarchy.

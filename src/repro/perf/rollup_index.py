@@ -1,27 +1,25 @@
-"""Single-pass rollup index with a vectorized columnar kernel.
+"""Rollup index over per-dimension coordinate-code columns.
 
 The naive cost of a derived cell is one full scan of every leaf cell
 (``Cube.scope_values``): for a result grid of N derived cells that is
-O(N x leaves).  The :class:`RollupIndex` makes **one** pass over the leaf
-cells, bucketing each leaf id under every coordinate of its per-dimension
-ancestor chain (``CubeSchema.ancestor_chain``).  A scope query then
-intersects the buckets of the queried coordinates and aggregates exactly
-the |scope| matching leaves.
+O(N x leaves).  The :class:`RollupIndex` gives each leaf cell an integer
+id and stores, per dimension, one ``int32`` **code column** (leaf id ->
+code of its leaf coordinate).  Each dimension also maps every coordinate
+to the leaf codes under it, filled from ``CubeSchema.ancestor_chain``
+once per *distinct* leaf coordinate.  A coordinate's scope is then the
+boolean mask ``lut[codes]`` over the id space, and a cell's scope is the
+AND of its coordinates' masks.
 
 Columnar kernel
 ---------------
 Leaf *values* live in a
 :class:`~repro.storage.array_cube.ColumnarLeafStore` — chunked contiguous
 ``float64`` planes where plane row == leaf id (both are assigned
-monotonically in insertion order and never reused).  The index is
-self-contained: every read (rollups, scope cells) comes from these
-planes, never from the cube's dict, which ``Cube.set_value`` keeps in
-step by writing each insert and re-value through.  Coordinate buckets
-are lowered on demand to cached **boolean masks** over the id space; a
-scope is then ``mask & mask`` + ``np.flatnonzero`` (ascending ids ==
-insertion order) and aggregation is one fancy-indexed gather per touched
-plane followed by :func:`~repro.olap.aggregation.reduce_array`, whose
-result is bit-identical to the naive dict scan.
+monotonically in insertion order and never reused).  Every read comes
+from these planes, never from the cube's dict, which ``Cube.set_value``
+keeps in step by writing each insert and re-value through.  Aggregation
+is ``np.flatnonzero`` of the scope mask, one fancy-indexed gather per
+touched plane, then :func:`~repro.olap.aggregation.reduce_array`.
 
 Determinism
 -----------
@@ -34,21 +32,21 @@ on both paths, making indexed results bit-identical to naive results
 Maintenance
 -----------
 The index is maintained *incrementally*: ``Cube.set_value`` notifies it
-of leaf insertions (bucket + plane row), deletions (bucket + plane
-liveness) and in-place value changes (plane write + rollup-memo flush).
-Bulk transforms (``copy``/``filter_dimension``/``map_leaf_cells``)
+of leaf insertions (code row + plane row), deletions (dead code row +
+plane liveness) and in-place value changes (plane write + rollup-memo
+flush).  Bulk transforms (``copy``/``filter_dimension``/``map_leaf_cells``)
 produce cubes without an index; it is rebuilt lazily on their first
 derived read.
-``Cube.frozen_copy`` instead *forks* the index: structure (buckets,
-id maps) is shared copy-on-write at whole-index granularity — the live
-parent unshares before its first structural mutation — while value
-planes share at plane granularity through ``ColumnarLeafStore.fork``.
+``Cube.frozen_copy`` instead *forks* the index: structure (id maps, code
+columns, coordinate maps) is shared copy-on-write at whole-index
+granularity — the live parent unshares before its first structural
+mutation — while value planes share at plane granularity through
+``ColumnarLeafStore.fork``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import TYPE_CHECKING, Iterator, Sequence, TypeAlias
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TypeAlias
 
 import numpy as np
 
@@ -70,28 +68,35 @@ CellValue: TypeAlias = "float | Missing"
 #: (empty, mask) — the mask-based axis-plane scope served to the batched
 #: grid evaluator; ``mask=None`` means "no constraint" (every leaf).
 AxisScope: TypeAlias = "tuple[bool, np.ndarray | None]"
+#: (size, mask) of one coordinate: ``mask=None`` when it covers every
+#: live leaf (or none: ``size == 0``)
+CoordScope: TypeAlias = "tuple[int, np.ndarray | None]"
 
 #: soft cap on the per-index rollup memo (total entries across all
 #: aggregator tables), to bound worst-case memory on long-lived cubes
 #: queried at ever-changing addresses
 _MEMO_CAP = 65536
 
+#: the code of a deleted row; leaf coordinates are coded from 1
+_DEAD = 0
+
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
+#: the unconstrained axis scope
+_ALL: AxisScope = (False, None)
 
 
 class RollupIndex:
-    """Per-dimension inverted index from coordinates to leaf-cell ids.
+    """Per-dimension coordinate-code columns over leaf-cell ids.
 
     Thread-safety: one reentrant lock guards both incremental maintenance
-    (bucket/id/plane mutation from ``Cube.set_value``) and the query paths
-    that read buckets or the rollup memo — a reader intersecting a bucket
-    set while a writer grows it raises ``set changed size during
-    iteration``.  Queries on *frozen* snapshot cubes never contend with
-    maintenance (a frozen cube cannot mutate), so the lock there is
-    uncontended overhead only; for a live cube it makes interleaved
-    query/mutation safe.  The one sanctioned lock-free read is the memo
-    probe through :meth:`memo_table` — a single dict ``get`` on a table
-    that is only ever cleared in place (atomic under the GIL).
+    (id/code/plane mutation from ``Cube.set_value``) and the query paths
+    that read code columns, cached scopes or the rollup memo.  Queries on
+    *frozen* snapshot cubes never contend with maintenance (a frozen cube
+    cannot mutate), so the lock there is uncontended overhead only; for a
+    live cube it makes interleaved query/mutation safe.  The one
+    sanctioned lock-free read is the memo probe through
+    :meth:`memo_table` — a single dict ``get`` on a table that is only
+    ever cleared in place (atomic under the GIL).
     """
 
     def __init__(self, schema: "CubeSchema", *, plane_size: "int | None" = None) -> None:
@@ -100,11 +105,18 @@ class RollupIndex:
         self.stats = CacheStats()
         self._lock = make_lock("RollupIndex._lock")
         self._id_of: dict[Address, int] = {}
-        self._addr_of: dict[int, Address] = {}
+        #: leaf id -> address; a deleted id keeps its (dead) slot
+        self._addr_of: list[Address] = []
+        #: rows in use; the code columns may have spare capacity past it
         self._next_id = 0
-        self._by_dim: list[dict[str, set[int]]] = [
-            {} for _ in range(schema.n_dims)
-        ]
+        #: row ``d`` is dimension ``d``'s code column (leaf id -> code of
+        #: its leaf coordinate, ``_DEAD`` once deleted)
+        self._codes = np.zeros((schema.n_dims, 0), dtype=np.int32)
+        #: per dimension: leaf coordinate -> code
+        self._code_of: list[dict[str, int]] = [{} for _ in range(schema.n_dims)]
+        #: per dimension: coordinate -> codes of the leaf coordinates
+        #: under it (its ancestor-chain closure)
+        self._under: list[dict[str, list[int]]] = [{} for _ in range(schema.n_dims)]
         # aggregator -> {address: value}; inner tables are cleared *in
         # place* on invalidation so refs handed out via memo_table() stay
         # live
@@ -117,15 +129,11 @@ class RollupIndex:
             if plane_size is None
             else ColumnarLeafStore(plane_size)
         )
-        #: ascending live leaf ids (append-only between deletions: ids are
-        #: assigned monotonically, so insertion keeps it sorted for free)
-        self._ordered_ids: list[int] = []
-        self._ordered_arr: "np.ndarray | None" = None
-        #: (dim_index, coord) -> boolean mask over the id space; dropped
-        #: wholesale on any structural change
-        self._mask_of: dict[tuple[int, str], np.ndarray] = {}
-        #: True while structure (id maps, buckets, ordered ids) is shared
-        #: with a fork; the first structural mutation deep-copies it
+        #: (dim_index, coord) -> scope; dropped wholesale on any structural
+        #: change
+        self._scope_of: dict[tuple[int, str], CoordScope] = {}
+        #: True while structure (id maps, code columns, coordinate maps)
+        #: is shared with a fork; the first structural mutation copies it
         self._struct_shared = False
 
     @classmethod
@@ -135,8 +143,8 @@ class RollupIndex:
         multi-plane and sparse layouts at small scale)."""
         with trace_span("rollup_index.build") as span:
             index = cls(cube.schema, plane_size=plane_size)
-            for addr, value in cube._leaf_cells.items():
-                index._insert(addr, value)
+            cells = cube._leaf_cells
+            index._append_rows(list(cells), cells.values())
             index.stats.builds += 1
             if span is not None:
                 span.set(leaves=index.n_leaves)
@@ -144,78 +152,72 @@ class RollupIndex:
 
     # -- maintenance ------------------------------------------------------------
 
-    def _insert(self, addr: Address, value: float) -> None:  # reprolint: locked
+    def _append_rows(self, addrs: list[Address], values: Iterable[float]) -> None:  # reprolint: locked
         # callers either hold self._lock (add_leaf) or own the only
-        # reference to a not-yet-published index (build)
-        ident = self._next_id
-        self._next_id += 1
-        self._id_of[addr] = ident
-        self._addr_of[ident] = addr
-        self._ordered_ids.append(ident)  # ids are monotonic: stays sorted
-        self._values.append(value)  # plane row == ident by construction
-        chain = self.schema.ancestor_chain
-        for i, coord in enumerate(addr):
-            buckets = self._by_dim[i]
-            for ancestor in chain(i, coord):
-                bucket = buckets.get(ancestor)
-                if bucket is None:
-                    buckets[ancestor] = {ident}
-                else:
-                    bucket.add(ident)
+        # reference to a not-yet-published index (build).  Codes resolve
+        # first, so an unknown member raises before any row is written;
+        # a new leaf coordinate is coded under its ancestor chain once.
+        block = []
+        for i, (code_of, under) in enumerate(zip(self._code_of, self._under)):
+            coords = [addr[i] for addr in addrs]
+            for coord in dict.fromkeys(coords):
+                if coord not in code_of:
+                    chain = self.schema.ancestor_chain(i, coord)
+                    code = code_of[coord] = len(code_of) + 1
+                    for ancestor in chain:
+                        under.setdefault(ancestor, []).append(code)
+            block.append([code_of[coord] for coord in coords])
+        start = self._next_id
+        end = start + len(addrs)
+        capacity = self._codes.shape[1]
+        if end > capacity:
+            self._codes = np.pad(self._codes, ((0, 0), (0, max(end, 2 * capacity) - capacity)))
+        self._codes[:, start:end] = block
+        self._id_of.update(zip(addrs, range(start, end)))
+        self._addr_of.extend(addrs)
+        for value in values:
+            self._values.append(value)  # plane row == leaf id
+        self._next_id = end
 
     def _unshare_structure(self) -> None:  # reprolint: locked
         # called under self._lock before any structural mutation
         if not self._struct_shared:
             return
         self._id_of = dict(self._id_of)
-        self._addr_of = dict(self._addr_of)
-        self._by_dim = [
-            {coord: set(bucket) for coord, bucket in buckets.items()}
-            for buckets in self._by_dim
+        self._addr_of = list(self._addr_of)
+        self._codes = self._codes.copy()
+        self._code_of = [dict(code_of) for code_of in self._code_of]
+        self._under = [
+            {coord: list(codes) for coord, codes in under.items()}
+            for under in self._under
         ]
-        self._ordered_ids = list(self._ordered_ids)
         self._struct_shared = False
-
-    def _structural_change(self) -> None:  # reprolint: locked
-        # mask + ordered-array caches describe the old id space
-        self._mask_of.clear()
-        self._ordered_arr = None
 
     def add_leaf(self, addr: Address, value: float) -> None:
         """The leaf cell at ``addr`` was inserted or re-valued to
-        ``value``: an insert buckets a new id and appends its plane row; a
-        re-value writes the existing row through (buckets store
+        ``value``: an insert appends a code row and a plane row; a
+        re-value writes the existing plane row through (codes describe
         addresses, not values).  Either way the memo is flushed."""
         with self._lock:
             ident = self._id_of.get(addr)
             if ident is None:
                 self._unshare_structure()
-                self._structural_change()
-                self._insert(addr, value)
+                self._scope_of.clear()  # cached scopes describe the old rows
+                self._append_rows([addr], (value,))
             else:
                 self._values.update(ident, value)
             self._flush_memo()
 
     def remove_leaf(self, addr: Address) -> None:
-        """The leaf cell at ``addr`` was deleted."""
+        """The leaf cell at ``addr`` was deleted: its code rows turn dead."""
         with self._lock:
             if addr not in self._id_of:
                 return
             self._unshare_structure()
-            self._structural_change()
+            self._scope_of.clear()
             ident = self._id_of.pop(addr)
-            del self._addr_of[ident]
-            del self._ordered_ids[bisect_left(self._ordered_ids, ident)]
+            self._codes[:, ident] = _DEAD
             self._values.delete(ident)
-            chain = self.schema.ancestor_chain
-            for i, coord in enumerate(addr):
-                buckets = self._by_dim[i]
-                for ancestor in chain(i, coord):
-                    bucket = buckets.get(ancestor)
-                    if bucket is not None:
-                        bucket.discard(ident)
-                        if not bucket:
-                            del buckets[ancestor]
             self._flush_memo()
 
     def _flush_memo(self) -> None:  # reprolint: locked
@@ -228,8 +230,8 @@ class RollupIndex:
     def fork(self) -> "RollupIndex":
         """A copy-on-write clone for a snapshot cube.
 
-        Structure (id maps, buckets, ordered ids) is shared until the
-        *live* side's next structural mutation (the frozen clone never
+        Structure (id maps, code columns, coordinate maps) is shared until
+        the *live* side's next structural mutation (the frozen clone never
         mutates); value planes share at plane granularity through
         :meth:`ColumnarLeafStore.fork`.
         """
@@ -238,10 +240,10 @@ class RollupIndex:
             clone._id_of = self._id_of
             clone._addr_of = self._addr_of
             clone._next_id = self._next_id
-            clone._by_dim = self._by_dim
-            clone._ordered_ids = self._ordered_ids
-            clone._ordered_arr = self._ordered_arr
-            clone._mask_of = dict(self._mask_of)
+            clone._codes = self._codes
+            clone._code_of = self._code_of
+            clone._under = self._under
+            clone._scope_of = dict(self._scope_of)
             clone._values = self._values.fork()
             clone._memo = {
                 key: dict(table) for key, table in self._memo.items()
@@ -289,47 +291,50 @@ class RollupIndex:
     def n_leaves(self) -> int:
         return len(self._id_of)
 
-    def candidates(self, dim_index: int, coord: str) -> "set[int] | None":
-        """Leaf ids under ``coord`` on one dimension; None when empty.
+    def _coord_scope(self, dim_index: int, coord: str) -> CoordScope:  # reprolint: locked
+        key = (dim_index, coord)
+        scope = self._scope_of.get(key)
+        if scope is None:
+            under = self._under[dim_index].get(coord)
+            if under is None:
+                dimension = self.schema.dimensions[dim_index]
+                if not self.schema.is_varying(dimension.name):
+                    dimension.member(coord)  # raises MemberNotFoundError if unknown
+                scope = (0, None)
+            else:
+                column = self._codes[dim_index, : self._next_id]
+                if len(under) == 1:  # one leaf coordinate: one compare
+                    mask = column == under[0]
+                else:
+                    lut = np.zeros(len(self._code_of[dim_index]) + 1, dtype=np.bool_)
+                    lut[under] = True
+                    mask = lut.take(column)
+                size = int(np.count_nonzero(mask))
+                covers_all = size == len(self._id_of)
+                scope = (size, None if covers_all or not size else mask)
+            self._scope_of[key] = scope
+        return scope
+
+    def scope_size(self, dim_index: int, coord: str) -> int:
+        """Number of live leaves under ``coord`` on one dimension.
 
         An unknown member of a non-varying dimension raises
         :class:`~repro.errors.MemberNotFoundError`, matching the contract
         of the hierarchy lookup the naive scan performs.
         """
-        bucket = self._by_dim[dim_index].get(coord)
-        if bucket is not None:
-            return bucket
-        dimension = self.schema.dimensions[dim_index]
-        if not self.schema.is_varying(dimension.name):
-            dimension.member(coord)  # raises MemberNotFoundError if unknown
-        return None
+        with self._lock:
+            return self._coord_scope(dim_index, coord)[0]
 
-    def _ordered_array(self) -> np.ndarray:  # reprolint: locked
-        arr = self._ordered_arr
-        if arr is None:
-            arr = np.array(self._ordered_ids, dtype=np.int64)
-            self._ordered_arr = arr
-        return arr
-
-    def _coord_mask(self, dim_index: int, coord: str) -> np.ndarray:  # reprolint: locked
-        # under self._lock; bucket is known non-empty and constraining
-        key = (dim_index, coord)
-        mask = self._mask_of.get(key)
-        if mask is None:
-            bucket = self._by_dim[dim_index][coord]
-            mask = np.zeros(self._next_id, dtype=np.bool_)
-            mask[np.fromiter(bucket, dtype=np.int64, count=len(bucket))] = True
-            self._mask_of[key] = mask
-        return mask
-
-    def _scope_ids_array(self, address: Sequence[str]) -> np.ndarray:
-        # under self._lock: ascending leaf ids of a full-address scope
-        empty, mask = self.axis_scope(list(enumerate(address)))
-        if empty:
+    def _scope_ids(self, row_scope: AxisScope, col_scope: AxisScope = _ALL) -> np.ndarray:  # reprolint: locked
+        # ascending leaf ids of the intersection of two axis scopes
+        (row_empty, row_mask), (col_empty, col_mask) = row_scope, col_scope
+        if row_empty or col_empty:
             return _EMPTY_IDS
-        if mask is None:
-            return self._ordered_array()
-        return np.flatnonzero(mask)
+        if row_mask is None:
+            row_mask, col_mask = col_mask, None
+        if row_mask is None:  # every live leaf
+            return np.flatnonzero(self._codes[0, : self._next_id] != _DEAD)
+        return np.flatnonzero(row_mask if col_mask is None else row_mask & col_mask)
 
     def axis_scope(self, pairs: Sequence[tuple[int, str]]) -> AxisScope:
         """The scope of some ``(dim_index, coord)`` pairs, as a mask.
@@ -343,18 +348,13 @@ class RollupIndex:
         mutate it.
         """
         with self._lock:
-            n = len(self._id_of)
-            if n == 0:
-                return True, None
             combined: "np.ndarray | None" = None
             for dim_index, coord in pairs:
-                bucket = self.candidates(dim_index, coord)
-                if bucket is None:
+                size, mask = self._coord_scope(dim_index, coord)
+                if not size:
                     return True, None
-                if len(bucket) == n:
-                    continue  # the coordinate covers every leaf
-                mask = self._coord_mask(dim_index, coord)
-                combined = mask if combined is None else combined & mask
+                if mask is not None:
+                    combined = mask if combined is None else combined & mask
             return False, combined
 
     def rollup_axes(
@@ -374,18 +374,7 @@ class RollupIndex:
                 self.stats.hits += 1
                 return table[address]
             self.stats.misses += 1
-            row_empty, row_mask = row_scope
-            col_empty, col_mask = col_scope
-            if row_empty or col_empty:
-                ids = _EMPTY_IDS
-            elif row_mask is None and col_mask is None:
-                ids = self._ordered_array()
-            elif row_mask is None:
-                ids = np.flatnonzero(col_mask)
-            elif col_mask is None:
-                ids = np.flatnonzero(row_mask)
-            else:
-                ids = np.flatnonzero(row_mask & col_mask)
+            ids = self._scope_ids(row_scope, col_scope)
             value = reduce_array(aggregator, self._values.gather(ids))
             self._memo_put(table, address, value)
             return value
@@ -395,10 +384,10 @@ class RollupIndex:
     ) -> Iterator[tuple[Address, float]]:
         """(address, value) of the leaf cells in a cell's scope, in
         insertion order."""
-        # Materialise under the lock: a lazy generator would read buckets
+        # Materialise under the lock: a lazy generator would read codes
         # and values at the caller's pace, racing concurrent maintenance.
         with self._lock:
-            ids = self._scope_ids_array(address)
+            ids = self._scope_ids(self.axis_scope(list(enumerate(address))))
             addr_of = self._addr_of
             cells = list(
                 zip(
@@ -416,11 +405,8 @@ class RollupIndex:
             if address in table:
                 self.stats.hits += 1
                 return table[address]
-            self.stats.misses += 1
-            ids = self._scope_ids_array(address)
-            value = reduce_array(aggregator, self._values.gather(ids))
-            self._memo_put(table, address, value)
-            return value
+            scope = self.axis_scope(list(enumerate(address)))
+            return self.rollup_axes(address, scope, _ALL, aggregator)
 
     # -- introspection ----------------------------------------------------------
 
@@ -437,5 +423,5 @@ class RollupIndex:
             return self._values.compact(ceiling=ceiling)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        sizes = [len(buckets) for buckets in self._by_dim]
-        return f"RollupIndex({len(self._id_of)} leaves, buckets/dim={sizes})"
+        sizes = [len(code_of) for code_of in self._code_of]
+        return f"RollupIndex({len(self._id_of)} leaves, leaf codes/dim={sizes})"

@@ -148,6 +148,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ReproHTTPServer"
     protocol_version = "HTTP/1.1"
+    # headers and body are two writes: with Nagle on, the second waits
+    # for the client's delayed ACK (~40 ms) on a kept-alive connection
+    disable_nagle_algorithm = True
 
     # -- plumbing -----------------------------------------------------------------
 

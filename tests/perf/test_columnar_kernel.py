@@ -66,6 +66,9 @@ def _assert_parity(cube: Cube, index: RollupIndex, addresses) -> None:
                 )
             else:
                 assert repr(indexed) == repr(naive), (address, aggregator)
+        with naive_mode():
+            naive_scope = list(cube.scope_cells(address))
+        assert list(index.iter_scope_cells(address)) == naive_scope, address
 
 
 values_strategy = st.floats(
@@ -101,6 +104,13 @@ class TestColumnarParityProperty:
         chosen=list(range(len(LEAF_ADDRESSES))),
         values=[0.0] * len(LEAF_ADDRESSES),
         ops=[(0, -0.0)],
+    )
+    # every leaf under Jan deleted: Jan's scope is empty, as in the scan
+    @example(
+        density=1.0,
+        chosen=list(range(len(LEAF_ADDRESSES))),
+        values=[float(i) for i in range(len(LEAF_ADDRESSES))],
+        ops=[(0, None), (1, None)],
     )
     def test_dense_sparse_dict_parity(self, density, chosen, values, ops):
         """Across fill densities 0.01-1.0: dense planes, compacted sparse
@@ -147,6 +157,13 @@ class TestColumnarParityProperty:
             max_size=len(LEAF_ADDRESSES),
         ),
         ops=mutations,
+    )
+    # the live side deletes and re-inserts a leaf the snapshot pins
+    @example(
+        density=1.0,
+        chosen=list(range(len(LEAF_ADDRESSES))),
+        values=[0.1 * i for i in range(len(LEAF_ADDRESSES))],
+        ops=[(0, None), (0, 7.25)],
     )
     def test_frozen_snapshot_fork_cow(self, density, chosen, values, ops):
         """A frozen snapshot forks the index copy-on-write: the snapshot

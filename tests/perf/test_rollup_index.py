@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +18,7 @@ from repro.olap.missing import MISSING, is_missing
 from repro.perf.batch import evaluate_grid
 from repro.perf.config import naive_mode
 from repro.perf.rollup_index import RollupIndex
+from repro.workload.workforce import WorkforceConfig, build_workforce
 
 
 def _all_addresses(schema):
@@ -287,6 +290,27 @@ class TestPlaneScopes:
                 cube.set_value(leaf, value)  # re-value: flushes the memo
                 direct = index.rollup(addr, aggregator)
                 assert repr(via_scope) == repr(direct), (addr, aggregator)
+
+
+class TestMemory:
+    def test_build_retains_under_256_bytes_per_leaf(self):
+        """Scopes are code columns, not per-leaf id sets: a build retains
+        a few int columns, the value planes and the id map."""
+        config = WorkforceConfig(n_employees=100, n_changing=10, n_accounts=10)
+        cube = build_workforce(config).cube
+        assert cube.n_leaf_cells >= 20_000
+        cube.rollup_index()  # fills the schema's ancestor-chain memo
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = RollupIndex.build(cube)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert index.n_leaves == cube.n_leaf_cells
+        assert retained / cube.n_leaf_cells < 256, retained
 
 
 class TestStreamingAggregators:

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ServiceError, ShardError
-from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
+from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, MetricsRegistry
 from repro.olap.missing import is_missing
 from repro.service import (
     CircuitBreaker,
@@ -250,3 +254,38 @@ class TestTenantQuotas:
     def test_negative_default_rejected(self):
         with pytest.raises(ServiceError):
             TenantQuotas(max_inflight=-1)
+
+
+class TestKeepAlive:
+    def test_back_to_back_posts_do_not_stall(self):
+        """Headers and body go out in two writes; with Nagle on, the
+        client's delayed ACK holds the body back ~40 ms per response on a
+        reused connection."""
+        result = SimpleNamespace(
+            columns=[], rows=[], cells=[], is_partial=False, stats={},
+            degradations=[],
+        )
+        stub = SimpleNamespace(
+            warehouse=SimpleNamespace(metrics=MetricsRegistry()),
+            execute=lambda text, **_: result,
+        )
+        server = make_server(stub, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        connection = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+        try:
+            body = json.dumps({"query": QUERY})
+            elapsed = []
+            for _ in range(10):
+                started = time.perf_counter()
+                connection.request("POST", "/v1/query", body)
+                response = connection.getresponse()
+                assert response.status == 200, response.read()
+                response.read()
+                elapsed.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert statistics.median(elapsed) < 0.020, elapsed
